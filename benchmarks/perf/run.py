@@ -79,7 +79,6 @@ def main(argv: list[str] | None = None) -> int:
             "  secagg_round phases (cross-group plane, summed over groups): "
             + ", ".join(f"{name}={secs:.3f}s" for name, secs in phases.items())
             + f"; dominant: {secagg['dominant_phase']}"
-            + f"; per-group plane {secagg['pergroup_speedup']:.2f}x"
         )
 
     scale = report["results"].get("fleet_scale")

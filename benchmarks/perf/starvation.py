@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.quick:
         days, devices, tenants, selectors = 0.1, 120, 6, 8
     else:
-        days, devices, tenants, selectors = 0.25, 150, 10, 8
+        days, devices, tenants, selectors = 1.0, 150, 10, 8
     if args.days is not None:
         days = args.days
 
@@ -57,12 +57,14 @@ def main(argv: list[str] | None = None) -> int:
     for policy, entry in result["by_policy"].items():
         print(
             f"  {policy:>10s}: {entry['rounds_started_total']} rounds, "
+            f"{entry['tenants_starved']} tenant(s) without a round, "
             f"worst tenant p95 gap {entry['worst_p95_s']}s, "
             f"p95 spread {entry['p95_spread_s']}s"
         )
-    ratio = result.get("fair_share_worst_p95_ratio")
-    if ratio is not None:
-        print(f"  fifo/fair_share worst-p95 ratio: {ratio:.2f}")
+    print(
+        "  fifo/fair_share worst-p95 ratio: "
+        f"{result['fair_share_worst_p95_ratio']:.2f}"
+    )
 
     if not args.no_write:
         with open(args.out, "w") as f:

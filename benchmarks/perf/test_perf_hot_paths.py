@@ -54,22 +54,13 @@ def test_streaming_paths_no_slower(micro_results):
 
 
 def test_harness_report_shape_and_write(tmp_path):
-    report = perf.run_harness(
-        perf.HarnessConfig(
-            repeats=2,
-            fleet_days=0.01,
-            fleet_devices=25,
-            scale_days=0.01,
-            scale_counts=(300,),
-            scale_baseline_counts=(300,),
-            scale_profile_devices=None,
-        )
-    )
+    report = perf.run_harness(perf.HarnessConfig.tiny())
     assert report["schema"] == perf.SCHEMA
     for name in perf.GUARDED:
         assert name in report["results"], name
         assert report["results"][name]["speedup"] > 0
-    # The fleet benchmark proves functional/buffered RunReport identity;
+    # The fleet benchmark proves production/FunctionalTrainer RunReport
+    # identity;
     # the scale benchmark proves vectorized-plane determinism.
     assert report["results"]["fleet_run_days"]["identical_run_reports"] is True
     assert report["results"]["fleet_scale"]["identical_run_reports"] is True

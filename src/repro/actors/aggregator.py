@@ -11,9 +11,10 @@ its cohort (Sec. 6); the cryptography executes over the observed
 participation trace when the round closes, with devices that vanished
 mid-round entering the protocol as post-ShareKeys dropouts.
 
-Buffering: in buffered mode (the default) accepted reports fold into a
-:class:`~repro.nn.parameters.ParameterAccumulator` in place instead of
-re-allocating ``delta_sum + vector`` per report.  Report vectors are
+Buffering: accepted reports fold into a
+:class:`~repro.nn.parameters.ParameterAccumulator` in place (every tier
+of the tree folds through :func:`fold_into`) instead of re-allocating
+``delta_sum + vector`` per report.  Report vectors are
 immutable by contract — trainers never write a vector again after
 reporting it (eval reports may even share one zero vector), and the
 aggregation pipeline only ever reads them.  An aggregator built with
@@ -40,10 +41,22 @@ import numpy as np
 from repro.actors.kernel import Actor, ActorRef
 from repro.actors import messages as msg
 from repro.core.config import SecAggConfig
-from repro.nn.parameters import ParameterAccumulator, buffered_math_enabled
+from repro.nn.parameters import ParameterAccumulator
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.protocol import DropoutSchedule, SecAggError, run_secure_aggregation
 from repro.tools.perf import wall_timer
+
+
+def fold_into(
+    accumulator: ParameterAccumulator | None, vector: np.ndarray
+) -> ParameterAccumulator:
+    """Fold one report vector or flushed partial sum into a running
+    accumulator, creating it on the first fold (every aggregation tier)."""
+    vec = np.asarray(vector, dtype=np.float64)
+    if accumulator is None:
+        accumulator = ParameterAccumulator(dim=vec.size)
+    accumulator.add_vector(vec, 1.0)
+    return accumulator
 
 
 class Aggregator(Actor):
@@ -64,7 +77,6 @@ class Aggregator(Actor):
         self.secagg = secagg
         self.rng = rng
         self.copy_pending = copy_pending
-        self._delta_sum: np.ndarray | None = None
         self._weight_sum: float = 0.0
         self._accumulator: ParameterAccumulator | None = None
         self._accepted_count = 0
@@ -158,18 +170,8 @@ class Aggregator(Actor):
             self._vectors[device_id] = vector
             self._weights[device_id] = weight
             return
-        if buffered_math_enabled():
-            if self._accumulator is None:
-                self._accumulator = ParameterAccumulator(dim=vector.size)
-            self._accumulator.add_vector(vector, 1.0)
-            self._weight_sum += weight
-        else:
-            # Functional path (perf-harness baseline): re-allocates the
-            # running sum on every fold, as the original implementation did.
-            self._delta_sum = (
-                vector.copy() if self._delta_sum is None else self._delta_sum + vector
-            )
-            self._weight_sum += weight
+        self._accumulator = fold_into(self._accumulator, vector)
+        self._weight_sum += weight
         self._unstage(vector)
 
     # -- flush ----------------------------------------------------------------
@@ -186,19 +188,12 @@ class Aggregator(Actor):
         self._pending.clear()
         if self.secagg.enabled:
             return self._flush_secagg()
-        if buffered_math_enabled():
-            # Ownership of the accumulator's buffer transfers to the
-            # message: the aggregator is stopped right after the round.
-            delta_sum = (
-                self._accumulator.sum_vector
-                if self._accumulator is not None and self._accumulator.count > 0
-                else None
-            )
-        else:
-            delta_sum = self._delta_sum
+        # Ownership of the accumulator's buffer transfers to the message:
+        # the aggregator is stopped right after the round.
+        accumulator = self._accumulator
         return msg.IntermediateAggregate(
             round_id=self.round_id,
-            delta_sum=delta_sum,
+            delta_sum=None if accumulator is None else accumulator.sum_vector,
             weight_sum=self._weight_sum,
             device_count=self._accepted_count,
         )
@@ -241,7 +236,6 @@ class Aggregator(Actor):
                 quantizer=quantizer,
                 rng=self.rng,
                 dropouts=dropouts,
-                plane=self.secagg.plane,
                 timer=wall_timer,
             )
         except SecAggError:
@@ -293,9 +287,7 @@ class ShardAggregator(Actor):
         intermediate aggregate — the same shape the master folds, so the
         tree composes (``master.flush-of-shards`` ≡ ``shard.flush-of-
         leaves``)."""
-        buffered = buffered_math_enabled()
         accumulator: ParameterAccumulator | None = None
-        delta_sum: np.ndarray | None = None
         weight_sum = 0.0
         device_count = 0
         for leaf_ref in self.leaves:
@@ -307,25 +299,11 @@ class ShardAggregator(Actor):
                 continue
             self.folded_leaves += 1
             device_count += partial.device_count
-            vec = np.asarray(partial.delta_sum, dtype=np.float64)
-            if buffered:
-                if accumulator is None:
-                    accumulator = ParameterAccumulator(dim=vec.size)
-                accumulator.add_vector(vec, 1.0)
-            else:
-                delta_sum = vec.copy() if delta_sum is None else delta_sum + vec
+            accumulator = fold_into(accumulator, partial.delta_sum)
             weight_sum += partial.weight_sum
-        if buffered:
-            folded = (
-                accumulator.sum_vector
-                if accumulator is not None and accumulator.count > 0
-                else None
-            )
-        else:
-            folded = delta_sum
         return msg.IntermediateAggregate(
             round_id=self.round_id,
-            delta_sum=folded,
+            delta_sum=None if accumulator is None else accumulator.sum_vector,
             weight_sum=weight_sum,
             device_count=device_count,
         )

@@ -14,7 +14,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.actors.aggregator import Aggregator, ShardAggregator
+from repro.actors.aggregator import Aggregator, ShardAggregator, fold_into
 from repro.actors.kernel import Actor, ActorRef, DeathNotice
 from repro.actors import messages as msg
 from repro.core.checkpoint import CheckpointStore, CheckpointWriteError, FLCheckpoint
@@ -25,7 +25,7 @@ from repro.core.rounds import (
     RoundPhase,
     RoundStateMachine,
 )
-from repro.nn.parameters import ParameterAccumulator, buffered_math_enabled
+from repro.nn.parameters import ParameterAccumulator
 
 #: Devices per leaf aggregator when Secure Aggregation is off.
 _PLAIN_GROUP_SIZE = 100
@@ -303,9 +303,7 @@ class MasterAggregator(Actor):
             for p in self.state.participants.values()
             if p.outcome is DeviceOutcome.COMPLETED
         }
-        buffered = buffered_math_enabled()
         accumulator: ParameterAccumulator | None = None
-        delta_sum: np.ndarray | None = None
         weight_sum = 0.0
         contributing = 0
         # With the aggregation tree, the master folds one partial per
@@ -328,16 +326,9 @@ class MasterAggregator(Actor):
             if partial.delta_sum is None or partial.device_count == 0:
                 continue
             contributing += partial.device_count
-            vec = np.asarray(partial.delta_sum, dtype=np.float64)
-            if buffered:
-                if accumulator is None:
-                    accumulator = ParameterAccumulator(dim=vec.size)
-                accumulator.add_vector(vec, 1.0)
-            else:
-                delta_sum = vec.copy() if delta_sum is None else delta_sum + vec
+            accumulator = fold_into(accumulator, partial.delta_sum)
             weight_sum += partial.weight_sum
-        folded = accumulator is not None if buffered else delta_sum is not None
-        if not folded or weight_sum <= 0:
+        if accumulator is None or weight_sum <= 0:
             return False
         if contributing < self.task.round_config.min_participants:
             return False
@@ -346,18 +337,12 @@ class MasterAggregator(Actor):
         except KeyError:
             return False
         params = previous.to_params()
-        if buffered:
-            assert accumulator is not None
-            # Divide the round sum in place (the accumulator dies with this
-            # round) and fold the average into the freshly-deserialized
-            # global weights without materialising `params + avg_delta`.
-            avg_vec = accumulator.sum_vector
-            np.divide(avg_vec, weight_sum, out=avg_vec)
-            avg_delta = params.from_vector(avg_vec)
-            new_params = params.add_(avg_delta)
-        else:
-            avg_delta = params.from_vector(delta_sum / weight_sum)
-            new_params = params + avg_delta
+        # Divide the round sum in place (the accumulator dies with this
+        # round) and fold the average into the freshly-deserialized global
+        # weights without materialising `params + avg_delta`.
+        avg_vec = accumulator.sum_vector
+        np.divide(avg_vec, weight_sum, out=avg_vec)
+        new_params = params.add_(params.from_vector(avg_vec))
         checkpoint = FLCheckpoint.from_params(
             new_params,
             population_name=self.task.population_name,

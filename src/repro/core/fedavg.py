@@ -12,19 +12,21 @@ and returns ``Δ = n · (w - w_init)`` — the *weighted* delta, which the
 paper notes is more amenable to compression than raw weights, and whose
 sum-only structure is exactly what Secure Aggregation needs (Sec. 6).
 
-Two execution paths share :func:`client_update`:
+:func:`client_update` has one production path and one reference kernel:
 
+* **buffered** (``buffers=``:class:`ClientUpdateBuffers`, what every
+  trainer passes): training runs in a pre-allocated working copy with
+  zero per-step allocation, gradients are written into a reusable
+  buffer, and the weighted delta lands in the buffer's flat delta vector;
 * **functional** (``buffers=None``): every SGD step returns a new
-  ``Parameters`` — the original implementation, kept as the measurable
-  baseline for the perf harness;
-* **buffered** (``buffers=``:class:`ClientUpdateBuffers`): training runs in
-  a pre-allocated working copy with zero per-step allocation, gradients
-  are written into a reusable buffer, and the weighted delta lands in the
-  buffer's flat delta vector.
+  ``Parameters`` — the original implementation, reached only by the
+  component tests and the perf harness's reference arms.
 
-The two paths consume the identical RNG stream and perform the identical
+The two consume the identical RNG stream and perform the identical
 elementwise float ops, so they are byte-identical (see
-``tests/core/test_fedavg_buffered.py``).
+``tests/core/test_fedavg_buffered.py``).  A round's cohort trains as one
+batched :func:`client_update_cohort` (byte-identical per client for
+models whose cohort kernels are row-exact).
 """
 
 from __future__ import annotations

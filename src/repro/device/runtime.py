@@ -13,12 +13,13 @@ Two trainer implementations share the :class:`LocalTrainer` interface:
   numerically trivial update at near-zero cost.  Used by fleet-scale
   protocol benchmarks (Figs. 5–8) where per-device SGD cost is irrelevant.
 
-Both trainers route through the buffered model plane when it is enabled
-(the default — see :func:`repro.nn.parameters.buffered_math_enabled`):
-training runs in per-trainer pre-allocated buffers so a check-in's
-session performs no per-step allocation.  Trainers are built one per
-device, and a device never starts a new session while a report is in
-flight, so per-trainer buffers are never aliased across sessions.  The
+Both trainers run on the buffered model plane: training runs in
+per-trainer pre-allocated buffers so a check-in's session performs no
+per-step allocation, and a :class:`RealTrainer` whose model ships a
+batched cohort kernel defers its training sessions to its population's
+:class:`~repro.device.cohort.CohortExecutionPlane`.  Trainers are built
+one per device, and a device never starts a new session while a report
+is in flight, so per-trainer buffers are never aliased across sessions.  The
 ``delta_vector`` placed in a :class:`TrainResult` is never written again
 by the trainer: training deltas are freshly-owned storage handed to the
 reporting pipeline, and evaluation deltas may be one shared zero vector
@@ -43,7 +44,8 @@ from repro.device.cohort import CohortExecutionPlane, PendingCohortResult
 from repro.device.example_store import ExampleStore
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.models import Model
-from repro.nn.parameters import Parameters, buffered_math_enabled
+from repro.nn.parameters import Parameters
+
 
 @dataclass
 class TrainResult:
@@ -137,7 +139,7 @@ class RealTrainer:
     forward pass over held-out data and report only metrics — the delta is
     zero and the upload is metrics-sized.
 
-    In buffered mode the trainer owns the session's working buffers
+    The trainer owns the session's working buffers
     (:class:`ClientUpdateBuffers`) and caches the deserialized global
     checkpoint per round, so repeated sessions against the same round
     don't re-decode the payload.
@@ -158,8 +160,7 @@ class RealTrainer:
         """Enroll this trainer in its population's cohort execution plane.
 
         Once enrolled, training plans are *deferred* via :meth:`defer`
-        instead of executed inline (evaluation plans, and everything in
-        functional-math mode, still run inline)."""
+        instead of executed inline (evaluation plans still run inline)."""
         self._cohort_plane = plane
 
     def defer(
@@ -172,12 +173,13 @@ class RealTrainer:
         """Enqueue this session's training with the cohort plane.
 
         Returns ``None`` when the session should run inline instead (no
-        plane attached, functional-math mode, or an evaluation plan).
+        plane attached, an evaluation plan, or a model without a batched
+        cohort kernel).
         The store query and every RNG draw the inline path would make
         happen *here*, at the session's own simulated time, so deferring
         never perturbs the device's stream or the simulated timeline.
         """
-        if self._cohort_plane is None or not buffered_math_enabled():
+        if self._cohort_plane is None:
             return None
         if plan.device.kind is not TaskKind.TRAINING:
             return None
@@ -209,8 +211,6 @@ class RealTrainer:
         )
 
     def _checkpoint_params(self, checkpoint: FLCheckpoint) -> Parameters:
-        if not buffered_math_enabled():
-            return checkpoint.to_params()
         key = (
             checkpoint.population_name,
             checkpoint.task_id,
@@ -236,11 +236,6 @@ class RealTrainer:
         dataset = ClientDataset("local", x, y)
         if plan.device.kind is not TaskKind.TRAINING:
             return self._evaluate(params, dataset)
-        buffers: ClientUpdateBuffers | None = None
-        if buffered_math_enabled():
-            if self._buffers is None or not self._buffers.matches(params):
-                self._buffers = ClientUpdateBuffers.for_structure(params)
-            buffers = self._buffers
         update = client_update(
             self.model,
             params,
@@ -251,7 +246,7 @@ class RealTrainer:
             rng=rng,
             max_examples=cfg.max_examples,
             clip_update_norm=cfg.clip_update_norm,
-            buffers=buffers,
+            buffers=self._session_buffers(params),
         )
         # Fresh storage either way: the report outlives this session.
         vector = update.delta.to_vector()
@@ -265,11 +260,16 @@ class RealTrainer:
             train_compute_units=float(update.num_examples * cfg.epochs),
         )
 
+    def _session_buffers(self, params: Parameters) -> ClientUpdateBuffers | None:
+        """The working buffers for one training session (``None`` would
+        select :func:`client_update`'s allocating reference path)."""
+        if self._buffers is None or not self._buffers.matches(params):
+            self._buffers = ClientUpdateBuffers.for_structure(params)
+        return self._buffers
+
     def _zero_vector(self, num_parameters: int) -> np.ndarray:
         """Eval reports carry a zero delta; the reporting pipeline never
-        mutates report vectors, so buffered mode shares one."""
-        if not buffered_math_enabled():
-            return np.zeros(num_parameters)
+        mutates report vectors, so every eval report shares one."""
         if self._zero_delta is None or self._zero_delta.size != num_parameters:
             self._zero_delta = np.zeros(num_parameters)
         return self._zero_delta
@@ -318,8 +318,6 @@ class SyntheticTrainer:
         self._zero_delta: np.ndarray | None = None
 
     def _zero_vector(self) -> np.ndarray:
-        if not buffered_math_enabled():
-            return np.zeros(self.num_parameters)
         if self._zero_delta is None:
             self._zero_delta = np.zeros(self.num_parameters)
         return self._zero_delta
@@ -348,12 +346,9 @@ class SyntheticTrainer:
                 train_compute_units=0.3 * n,
             )
         delta = rng.normal(0.0, self.delta_scale, size=self.num_parameters)
-        if buffered_math_enabled():
-            # Scale the freshly-drawn vector in place: same values as the
-            # functional `delta * n` without the second allocation.
-            np.multiply(delta, n, out=delta)
-        else:
-            delta = delta * n
+        # Scale the freshly-drawn vector in place: same values as the
+        # functional `delta * n` without the second allocation.
+        np.multiply(delta, n, out=delta)
         raw_nbytes = self.num_parameters * 8
         metrics = {"loss": float(rng.uniform(0.5, 2.0)), "num_examples": n}
         metrics.update(self.metrics_template)

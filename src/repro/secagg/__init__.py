@@ -45,8 +45,6 @@ from repro.secagg.protocol import (
     SecureAggregationServer,
     run_secure_aggregation,
     run_secure_aggregation_transcript,
-    secagg_plane,
-    set_secagg_plane,
 )
 from repro.secagg.grouped import (
     grouped_secure_sum,
@@ -80,8 +78,6 @@ __all__ = [
     "SecureAggregationServer",
     "run_secure_aggregation",
     "run_secure_aggregation_transcript",
-    "secagg_plane",
-    "set_secagg_plane",
     "grouped_secure_sum",
     "grouped_secure_sum_transcripts",
 ]

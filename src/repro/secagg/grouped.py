@@ -13,11 +13,10 @@ aggregate for the round, without Secure Aggregation."
 The groups are embarrassingly parallel — one instance per Aggregator —
 so the default "vectorized" plane batches the DH, PRG, and
 reconstruction sweeps across *all* groups at once
-(:func:`repro.secagg.vectorized.run_vectorized_grouped`); the
-"vectorized_pergroup" plane runs one vectorized instance per group
-sequentially, and "scalar" one device state machine at a time.  All
-three produce byte-identical sums, metrics counts, transcripts, rng
-trajectories, and error messages.
+(:func:`repro.secagg.vectorized.run_vectorized_grouped`); the "scalar"
+reference runs the groups one after another, one device state machine
+at a time.  Both produce byte-identical sums, metrics counts,
+transcripts, rng trajectories, and error messages.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.secagg.protocol import (
     SecAggError,
     SecAggMetrics,
     SecAggTranscript,
-    resolve_secagg_plane,
+    check_plane,
     run_secure_aggregation,
     run_secure_aggregation_transcript,
 )
@@ -79,14 +78,14 @@ def _grouped_dispatch(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None,
-    plane: str | None,
+    plane: str,
     timer: Callable[[], float] | None,
     capture: bool,
 ) -> tuple[
     np.ndarray, list[SecAggMetrics], list[SecAggTranscript] | None
 ]:
     groups = partition_into_groups(list(inputs), min_group_size)
-    plane = resolve_secagg_plane(plane)
+    check_plane(plane)
     thresholds = [
         max(2, int(np.ceil(len(group) * threshold_fraction)))
         for group in groups
@@ -106,11 +105,7 @@ def _grouped_dispatch(
             timer=timer, capture=capture,
         )
     else:
-        # Sequential baselines: one instance per group on the scalar or
-        # (single-instance) vectorized plane.
-        instance_plane = (
-            "vectorized" if plane == "vectorized_pergroup" else plane
-        )
+        # Scalar reference: one instance per group, in group order.
         group_sums = []
         all_metrics = []
         transcripts = [] if capture else None
@@ -121,16 +116,14 @@ def _grouped_dispatch(
                 group_sum, metrics, transcript = (
                     run_secure_aggregation_transcript(
                         instance, threshold=threshold, quantizer=quantizer,
-                        rng=rng, dropouts=schedule, plane=instance_plane,
-                        timer=timer,
+                        rng=rng, dropouts=schedule, plane=plane, timer=timer,
                     )
                 )
                 transcripts.append(transcript)
             else:
                 group_sum, metrics = run_secure_aggregation(
                     instance, threshold=threshold, quantizer=quantizer,
-                    rng=rng, dropouts=schedule, plane=instance_plane,
-                    timer=timer,
+                    rng=rng, dropouts=schedule, plane=plane, timer=timer,
                 )
             group_sums.append(group_sum)
             all_metrics.append(metrics)
@@ -151,7 +144,7 @@ def grouped_secure_sum(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None = None,
-    plane: str | None = None,
+    plane: str = "vectorized",
     timer: Callable[[], float] | None = None,
 ) -> tuple[np.ndarray, list[SecAggMetrics]]:
     """Secure-sum per group, then a plain (Master Aggregator) sum of sums.
@@ -173,7 +166,7 @@ def grouped_secure_sum_transcripts(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None = None,
-    plane: str | None = None,
+    plane: str = "vectorized",
     timer: Callable[[], float] | None = None,
 ) -> tuple[np.ndarray, list[SecAggMetrics], list[SecAggTranscript]]:
     """Like :func:`grouped_secure_sum`, also returning per-group transcripts.

@@ -19,6 +19,11 @@ Rounds (names from Bonawitz et al. 2017; Sec. 6 groups them into phases):
 Dropouts at every stage are injected via :class:`DropoutSchedule`; server
 work is accounted in :class:`SecAggMetrics` — the quadratic unmasking cost
 is the reason Sec. 6 caps cohorts at "hundreds of users" per Aggregator.
+
+An instance runs on one of two execution planes, chosen per call by
+``plane=``: ``"vectorized"`` (the default, every production caller; see
+:mod:`repro.secagg.vectorized`) or ``"scalar"``, the per-device state
+machines below, kept as the byte-identical reference.
 """
 
 from __future__ import annotations
@@ -40,41 +45,11 @@ class SecAggError(RuntimeError):
     """Protocol failure: below threshold, or inconsistent state."""
 
 
-# ---------------------------------------------------------------------------
-# Execution-plane lever, mirroring ``set_buffered_math`` / ``idle_plane``:
-# the vectorized plane is the default, the scalar per-device protocol stays
-# as the measurable baseline, and all planes produce byte-identical outputs
-# from the same rng (asserted by tests and by every guarded benchmark).
-#
-# For a *single* protocol instance "vectorized" and "vectorized_pergroup"
-# are the same plane.  They differ only under
-# :func:`repro.secagg.grouped.grouped_secure_sum`: "vectorized" batches the
-# DH/PRG/reconstruction sweeps across *all* groups at once (the groups are
-# embarrassingly parallel — one instance per Aggregator, Sec. 6), while
-# "vectorized_pergroup" runs one vectorized instance per group sequentially
-# and stays available as a measurable baseline between "scalar" and the
-# cross-group plane.
-
-SECAGG_PLANES = ("scalar", "vectorized", "vectorized_pergroup")
-
-_SECAGG_PLANE = "vectorized"
-
-
-def secagg_plane() -> str:
-    """The module-default SecAgg execution plane."""
-    return _SECAGG_PLANE
-
-
-def set_secagg_plane(plane: str) -> str:
-    """Select the default SecAgg plane; returns the previous setting."""
-    global _SECAGG_PLANE
-    if plane not in SECAGG_PLANES:
-        raise ValueError(
-            f"secagg_plane must be one of {SECAGG_PLANES}, got {plane!r}"
-        )
-    previous = _SECAGG_PLANE
-    _SECAGG_PLANE = plane
-    return previous
+#: Execution planes for one protocol instance: "vectorized" (the default)
+#: runs the whole cohort as stacked matrix arithmetic; "scalar" runs one
+#: device state machine at a time and is the reference it must match byte
+#: for byte, from the same rng draws.
+SECAGG_PLANES = ("vectorized", "scalar")
 
 
 @dataclass(frozen=True)
@@ -430,7 +405,7 @@ def _run_scalar(
     timer: Callable[[], float] | None,
     capture: bool,
 ) -> tuple[np.ndarray, SecAggMetrics, SecAggTranscript | None]:
-    """The per-device baseline plane: one client object per participant."""
+    """The per-device reference plane: one client object per participant."""
     server = SecureAggregationServer(quantizer, threshold, timer=timer)
     clients = {
         uid: SecureAggregationClient(uid, vec, quantizer, threshold, rng)
@@ -482,7 +457,7 @@ def _dispatch(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None,
-    plane: str | None,
+    plane: str,
     timer: Callable[[], float] | None,
     capture: bool,
 ) -> tuple[np.ndarray, SecAggMetrics, SecAggTranscript | None]:
@@ -490,11 +465,10 @@ def _dispatch(
     lengths = {v.shape for v in inputs.values()}
     if len(lengths) != 1:
         raise ValueError(f"input vectors must share a shape, got {lengths}")
-    plane = resolve_secagg_plane(plane)
-    if plane in ("vectorized", "vectorized_pergroup"):
+    check_plane(plane)
+    if plane == "vectorized":
         # Imported lazily: vectorized.py reuses this module's message and
-        # error types.  A single instance has no cross-group work, so the
-        # two vectorized planes coincide here.
+        # error types.
         from repro.secagg.vectorized import run_vectorized
 
         return run_vectorized(
@@ -506,15 +480,12 @@ def _dispatch(
     )
 
 
-def resolve_secagg_plane(plane: str | None) -> str:
-    """Apply the module default and validate the plane name."""
-    if plane is None:
-        plane = _SECAGG_PLANE
+def check_plane(plane: str) -> None:
+    """Reject an unknown execution-plane name."""
     if plane not in SECAGG_PLANES:
         raise ValueError(
-            f"secagg_plane must be one of {SECAGG_PLANES}, got {plane!r}"
+            f"secagg plane must be one of {SECAGG_PLANES}, got {plane!r}"
         )
-    return plane
 
 
 def run_secure_aggregation(
@@ -523,17 +494,17 @@ def run_secure_aggregation(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None = None,
-    plane: str | None = None,
+    plane: str = "vectorized",
     timer: Callable[[], float] | None = None,
 ) -> tuple[np.ndarray, SecAggMetrics]:
     """Orchestrate one full instance over in-memory participants.
 
     Returns the decoded float sum over devices that committed (round 2),
     and the server's cost metrics.  Raises :class:`SecAggError` if any
-    stage falls below the threshold.  ``plane`` overrides the module
-    default (:func:`set_secagg_plane`); both planes consume the same rng
-    draws and produce byte-identical sums, shares, and metrics.  ``timer``
-    is the injected clock for ``metrics.server_seconds``.
+    stage falls below the threshold.  ``plane`` is one of
+    :data:`SECAGG_PLANES`; both consume the same rng draws and produce
+    byte-identical sums, shares, and metrics.  ``timer`` is the injected
+    clock for ``metrics.server_seconds``.
     """
     total, metrics, _ = _dispatch(
         inputs, threshold, quantizer, rng, dropouts, plane, timer, False
@@ -547,7 +518,7 @@ def run_secure_aggregation_transcript(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None = None,
-    plane: str | None = None,
+    plane: str = "vectorized",
     timer: Callable[[], float] | None = None,
 ) -> tuple[np.ndarray, SecAggMetrics, SecAggTranscript]:
     """Like :func:`run_secure_aggregation`, also returning the transcript.

@@ -35,8 +35,9 @@ What is measured (see ROADMAP.md "Performance" for how to read it):
   98k-param model, where single-core GEMM/memory costs are
   plane-independent and the honest ratio is ~1x.
 * ``fleet_run_days`` — simulated days/sec of a small pinned
-  ``FLFleet.run_days`` with real on-device training, run in functional
-  then buffered mode (the module-level A/B switch).
+  ``FLFleet.run_days`` with real on-device training: the production fleet
+  vs the same fleet on :class:`FunctionalTrainer` devices (the allocating
+  reference math, handed in through ``trainer_factory``).
 * ``fleet_scale_sharded`` — sim-days/sec of the multi-tenant control
   plane across (devices x tenants x shards): consistent-hash selector
   shards plus the per-shard aggregation tree vs the flat shards=1
@@ -49,15 +50,14 @@ What is measured (see ROADMAP.md "Performance" for how to read it):
   pace-steering pattern that used to leak cancelled events).
 * ``secagg_round`` — one grouped Secure Aggregation round (1k clients in
   ~50-device groups, 10% dropout at each protocol stage), scalar
-  per-device plane vs the cross-group vectorized plane (one stacked DH
-  pass over all groups on the Montgomery substrate, one (ΣC, dim)
-  PRG/commit pass, one shared reconstruction sweep); the sequential
-  per-group vectorized plane is timed alongside (``pergroup_seconds``)
-  and a timer-instrumented run reports the key-agreement / masking /
-  recovery ``phase_seconds`` split.  Sums and metrics are asserted
-  byte-identical across all three planes before timing; the ratio is
-  group-local, so the ``--quick`` run at 200 clients checks against the
-  committed 1k-client reference ratio.
+  per-device reference vs the cross-group vectorized plane (one stacked
+  DH pass over all groups on the Montgomery substrate, one (ΣC, dim)
+  PRG/commit pass, one shared reconstruction sweep); a
+  timer-instrumented run reports the key-agreement / masking / recovery
+  ``phase_seconds`` split.  Sums and metrics are asserted byte-identical
+  across the two planes before timing; the ratio is group-local, so the
+  ``--quick`` run at 200 clients checks against the committed 1k-client
+  reference ratio.
 
 Every functional/buffered pair is asserted byte-identical before it is
 timed; the harness refuses to report a speedup for paths that diverge.
@@ -77,13 +77,10 @@ import numpy as np
 
 from repro.core.datasets import ClientDataset
 from repro.core.fedavg import ClientUpdateBuffers, client_update
+from repro.device.runtime import RealTrainer
 from repro.nn.models import LogisticRegression, MLPClassifier, Model
 from repro.nn.optimizers import SGD, SGDConfig
-from repro.nn.parameters import (
-    ParameterAccumulator,
-    Parameters,
-    set_buffered_math,
-)
+from repro.nn.parameters import ParameterAccumulator, Parameters
 from repro.sim.event_loop import EventLoop
 
 SCHEMA = "repro-hotpath-bench/v1"
@@ -637,7 +634,7 @@ def bench_event_loop(repeats: int) -> dict:
 
 
 def bench_secagg_round(clients: int, repeats: int) -> dict:
-    """One grouped SecAgg round: scalar vs per-group vs cross-group plane.
+    """One grouped SecAgg round: scalar reference vs cross-group plane.
 
     The pinned workload is the paper's operating point — groups of ~50
     devices (Sec. 6 caps SecAgg instances at "hundreds of users"), dim
@@ -645,8 +642,8 @@ def bench_secagg_round(clients: int, repeats: int) -> dict:
     dropping at *each* protocol stage (after AdvertiseKeys, after
     ShareKeys, after MaskedInputCollection), so the benchmark exercises
     dangling-mask recovery, not just the happy path.  Decoded sums and
-    full server metrics are asserted identical across all three planes
-    before any timing; every plane replays the same rng trajectory.
+    full server metrics are asserted identical across both planes before
+    any timing; both replay the same rng trajectory.
 
     Besides the guarded scalar/vectorized ``speedup``, the result carries
     a ``phase_seconds`` breakdown (key agreement / masking / recovery,
@@ -683,18 +680,14 @@ def bench_secagg_round(clients: int, repeats: int) -> dict:
         )
 
     total_s, metrics_s = run("scalar")
-    total_p, metrics_p = run("vectorized_pergroup")
     total_v, metrics_v = run("vectorized")
-    if not (np.array_equal(total_s, total_v)
-            and np.array_equal(total_s, total_p)):
+    if not np.array_equal(total_s, total_v):
         raise AssertionError("secagg_round planes diverged (sums differ)")
-    if not (metrics_s == metrics_v == metrics_p):
+    if metrics_s != metrics_v:
         raise AssertionError("secagg_round planes diverged (metrics differ)")
 
     tf, tb = _time_pair(lambda: run("scalar"), lambda: run("vectorized"),
                         repeats)
-    tp = _time_per_call(lambda: run("vectorized_pergroup"),
-                        max(2, repeats // 2))
     _, timed_metrics = run("vectorized", timer=time.perf_counter)
     phase_seconds = {
         "key_agreement": sum(m.key_agreement_seconds for m in timed_metrics),
@@ -707,7 +700,7 @@ def bench_secagg_round(clients: int, repeats: int) -> dict:
             f"{clients} clients in {len(metrics_s)} groups of ~{group}, "
             f"dim {dim}, 32-bit ring, threshold 0.66, 10% dropout after "
             "each of AdvertiseKeys/ShareKeys/MaskedInputCollection "
-            "(sums and metrics asserted identical across all three "
+            "(sums and metrics asserted identical across both "
             "planes before timing; ratio is group-local, comparable "
             "across client counts)"
         ),
@@ -716,8 +709,6 @@ def bench_secagg_round(clients: int, repeats: int) -> dict:
         "vectorized_rounds_per_sec": 1.0 / tb,
         "scalar_seconds": tf,
         "vectorized_seconds": tb,
-        "pergroup_seconds": tp,
-        "pergroup_speedup": tf / tp,
         "clients": clients,
         "groups": len(metrics_s),
         "committed_devices": committed,
@@ -728,14 +719,43 @@ def bench_secagg_round(clients: int, repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# reference trainers
+#
+# Fleet-level oracles for the equivalence tests and ``fleet_run_days``.
+# They reach a fleet only through a population's ``trainer_factory`` —
+# never through a fleet, config or process-global setting.
+
+
+class InlineTrainer(RealTrainer):
+    """A :class:`RealTrainer` that never defers: every training session
+    runs inline in its device's callback.  The cohort plane must match
+    it byte for byte on models with row-exact cohort kernels."""
+
+    def defer(self, plan, checkpoint, now_s, rng):
+        return None
+
+
+class FunctionalTrainer(InlineTrainer):
+    """An :class:`InlineTrainer` on the allocating reference math: the
+    checkpoint is decoded afresh for every session and training runs
+    through ``client_update(buffers=None)`` — the pre-buffering cost
+    model, byte-identical to the production trainer."""
+
+    def _checkpoint_params(self, checkpoint):
+        return checkpoint.to_params()
+
+    def _session_buffers(self, params):
+        return None
+
+
+# ---------------------------------------------------------------------------
 # fleet benchmark
 
 
-def _build_bench_fleet(seed: int, devices: int):
+def _build_bench_fleet(seed: int, devices: int, trainer=RealTrainer):
     from repro import FLFleet
     from repro.core.config import ClientTrainingConfig, RoundConfig, TaskConfig
     from repro.device.example_store import ExampleStore
-    from repro.device.runtime import RealTrainer
     from repro.device.scheduler import JobSchedule
     from repro.sim.diurnal import DiurnalModel
     from repro.sim.population import PopulationConfig
@@ -753,7 +773,7 @@ def _build_bench_fleet(seed: int, devices: int):
         x = data_rng.normal(size=(96, 4))
         y = data_rng.integers(0, 2, size=96)
         store.add_batch(x, y, timestamp_s=0.0)
-        return RealTrainer(model=model, store=store)
+        return trainer(model=model, store=store)
 
     task = TaskConfig(
         task_id="bench",
@@ -782,32 +802,27 @@ def _build_bench_fleet(seed: int, devices: int):
 
 
 def bench_fleet_run_days(days: float, devices: int, repeats: int = 3) -> dict:
-    def run(buffered: bool):
-        previous = set_buffered_math(buffered)
-        try:
-            fleet = _build_bench_fleet(seed=2019, devices=devices)
-            t0 = time.perf_counter()
-            fleet.run_days(days)
-            elapsed = time.perf_counter() - t0
-            report = fleet.report().to_operational_dict()
-        finally:
-            set_buffered_math(previous)
-        return elapsed, report
+    def run(trainer):
+        fleet = _build_bench_fleet(seed=2019, devices=devices, trainer=trainer)
+        t0 = time.perf_counter()
+        fleet.run_days(days)
+        elapsed = time.perf_counter() - t0
+        return elapsed, fleet.report().to_operational_dict()
 
-    # Interleave modes and keep the best of each: run_days is seconds-long
+    # Interleave arms and keep the best of each: run_days is seconds-long
     # and a single noisy-neighbour stall would otherwise swamp the ratio.
     tf = tb = float("inf")
     report_f = report_b = None
     for _ in range(repeats):
-        elapsed_f, rep_f = run(False)
-        elapsed_b, rep_b = run(True)
+        elapsed_f, rep_f = run(FunctionalTrainer)
+        elapsed_b, rep_b = run(RealTrainer)
         tf, tb = min(tf, elapsed_f), min(tb, elapsed_b)
         report_f = rep_f if report_f is None else report_f
         report_b = rep_b if report_b is None else report_b
         if rep_f != report_f or rep_b != report_b:
             raise AssertionError("fleet runs are not deterministic")
     if report_f != report_b:
-        raise AssertionError("fleet modes diverged (RunReports differ)")
+        raise AssertionError("fleet arms diverged (RunReports differ)")
     out = _pair(
         "fleet_run_days",
         "sim_days_per_sec",
@@ -1046,7 +1061,7 @@ def _build_tenant_fleet(
     devices: int,
     tenants: int,
     selectors: int,
-    shards: int,
+    shards: int | None,
     policy: str = "fifo",
     tick_s: float = 1.0,
 ):
@@ -1059,6 +1074,10 @@ def _build_tenant_fleet(
     ForwardDevices/ClearForwarding round machinery — all of which an
     unsharded fleet pays O(tenants x selectors) for, and a sharded fleet
     O(tenants x selectors / shards).
+
+    ``shards=None`` builds the same workload without touching the
+    ``selector_shards`` or ``device_scheduler`` knobs at all — the
+    identity baseline proving their defaults are inert.
     """
     from repro import FLFleet
     from repro.actors.coordinator import CoordinatorConfig
@@ -1080,8 +1099,6 @@ def _build_tenant_fleet(
         .seed(seed)
         .devices(PopulationConfig(num_devices=devices))
         .selectors(selectors)
-        .selector_shards(shards)
-        .device_scheduler(policy)
         # A fast tick keeps every Coordinator polling its Selectors at
         # the cadence a production control plane would; rounds on a
         # 15-minute gap keep all tenants' pipelines continuously active.
@@ -1096,6 +1113,8 @@ def _build_tenant_fleet(
         .waiting_timeout(1800.0)
         .sample_interval(300.0)
     )
+    if shards is not None:
+        builder = builder.selector_shards(shards).device_scheduler(policy)
     for t in range(tenants):
         name = f"tenant{t:02d}"
         task = TaskConfig(
@@ -1197,7 +1216,7 @@ def bench_fleet_scale_sharded(
     devices, tenants = cells[0]
     flat_fleet = _build_tenant_fleet(seed, devices, tenants, selectors, 1)
     flat_fleet.run_days(days)
-    unsharded = _build_tenant_fleet_unsharded(seed, devices, tenants, selectors)
+    unsharded = _build_tenant_fleet(seed, devices, tenants, selectors, None)
     unsharded.run_days(days)
     if flat_fleet.report() != unsharded.report():
         raise AssertionError(
@@ -1230,53 +1249,19 @@ def bench_fleet_scale_sharded(
     return out
 
 
-def _build_tenant_fleet_unsharded(
-    seed: int, devices: int, tenants: int, selectors: int
-):
-    """The same workload built without touching the ``selector_shards``
-    knob at all — the identity baseline for shards=1
-    (:func:`_build_tenant_fleet` always sets the knob; this builder
-    proves its default is inert)."""
-    from repro import FLFleet
-    from repro.actors.coordinator import CoordinatorConfig
-    from repro.core.config import RoundConfig, TaskConfig
-    from repro.device.runtime import SyntheticTrainer
-    from repro.device.scheduler import JobSchedule
-    from repro.nn.models import MLPClassifier
-    from repro.sim.population import PopulationConfig
+def censored_start_gaps(
+    starts: list[float], fleet_start_s: float, window_end_s: float
+) -> np.ndarray:
+    """One tenant's round-start gaps over an observation window,
+    right-censored at the window end.
 
-    params = MLPClassifier(
-        input_dim=16, hidden_dims=(16,), n_classes=4
-    ).init(np.random.default_rng(0))
-
-    def trainer_factory(profile):
-        return SyntheticTrainer(num_parameters=params.num_parameters)
-
-    builder = (
-        FLFleet.builder()
-        .seed(seed)
-        .devices(PopulationConfig(num_devices=devices))
-        .selectors(selectors)
-        .coordinator(
-            CoordinatorConfig(
-                tick_interval_s=1.0, pipelining=False, inter_round_gap_s=900.0
-            )
-        )
-        .job(JobSchedule(7200.0, 0.5))
-        .waiting_timeout(1800.0)
-        .sample_interval(300.0)
-    )
-    for t in range(tenants):
-        name = f"tenant{t:02d}"
-        task = TaskConfig(
-            task_id=f"train/{name}",
-            population_name=name,
-            round_config=RoundConfig(target_participants=10),
-        )
-        builder = builder.population(
-            name, tasks=[task], model=params, trainer_factory=trainer_factory
-        )
-    return builder.build()
+    The gaps between consecutive starts are followed by the open gap from
+    the last start to the window end — or, for a tenant that started no
+    round, from the fleet start to the window end.  A tenant that stalls
+    therefore shows a gap as long as its stall instead of dropping out of
+    the summary."""
+    points = sorted(starts) or [fleet_start_s]
+    return np.diff(np.asarray([*points, window_end_s], dtype=np.float64))
 
 
 def bench_tenant_starvation(
@@ -1292,8 +1277,11 @@ def bench_tenant_starvation(
     Many concurrent populations compete for the same devices; a tenant
     is *starved* when its rounds start rarely because devices keep
     serving other tenants first.  For each policy the same seeded
-    workload runs once, and each tenant's consecutive round-start gaps
-    (from its ``RoundResult.started_at_s`` trail) summarize to p50/p95.
+    workload runs once, and each tenant's round-start gaps (from its
+    ``RoundResult.started_at_s`` trail, right-censored at the window end
+    by :func:`censored_start_gaps`) summarize to p50/p95.  Every tenant
+    contributes to ``worst_p95_s``, so a tenant that never starts a
+    round sets it to the whole window; ``tenants_starved`` counts those.
 
     Expect near-parity between the policies on a static fleet: the
     worker queue coalesces requests and never drops them except at
@@ -1311,43 +1299,44 @@ def bench_tenant_starvation(
         fleet = _build_tenant_fleet(
             seed, devices, tenants, selectors, shards, policy=policy
         )
+        fleet_start_s = fleet.loop.now
         fleet.run_days(days)
         per_tenant: dict[str, dict] = {}
-        p95s: list[float] = []
         for t in range(tenants):
             name = f"tenant{t:02d}"
-            starts = sorted(
-                r.started_at_s for r in fleet.results_for(name)
-            )
-            gaps = np.diff(np.asarray(starts)) if len(starts) > 1 else None
-            entry: dict = {"rounds_started": len(starts)}
-            if gaps is not None and gaps.size:
-                entry["start_gap_p50_s"] = float(np.percentile(gaps, 50))
-                entry["start_gap_p95_s"] = float(np.percentile(gaps, 95))
-                p95s.append(entry["start_gap_p95_s"])
-            per_tenant[name] = entry
-        rounds_total = sum(e["rounds_started"] for e in per_tenant.values())
+            starts = [r.started_at_s for r in fleet.results_for(name)]
+            gaps = censored_start_gaps(starts, fleet_start_s, fleet.loop.now)
+            per_tenant[name] = {
+                "rounds_started": len(starts),
+                "start_gap_p50_s": float(np.percentile(gaps, 50)),
+                "start_gap_p95_s": float(np.percentile(gaps, 95)),
+            }
+        p95s = [e["start_gap_p95_s"] for e in per_tenant.values()]
         by_policy[policy] = {
             "per_tenant": per_tenant,
-            "rounds_started_total": rounds_total,
-            "worst_p95_s": max(p95s) if p95s else None,
-            "p95_spread_s": (max(p95s) - min(p95s)) if p95s else None,
+            "rounds_started_total": sum(
+                e["rounds_started"] for e in per_tenant.values()
+            ),
+            "tenants_starved": sum(
+                e["rounds_started"] == 0 for e in per_tenant.values()
+            ),
+            "worst_p95_s": max(p95s),
+            "p95_spread_s": max(p95s) - min(p95s),
         }
     out = {
         "workload": (
             f"{tenants} tenants contending for {devices} devices on "
             f"{selectors} selectors ({shards} shard(s)), {days} simulated "
-            "days: per-tenant round-start gap p50/p95 under fifo vs "
-            "fair_share on-device scheduling"
+            "days: per-tenant round-start gap p50/p95 (right-censored at "
+            "the window end) under fifo vs fair_share on-device scheduling"
         ),
         "unit": "seconds_between_round_starts",
         "days": days,
         "by_policy": by_policy,
     }
-    fifo_worst = by_policy["fifo"]["worst_p95_s"]
-    fair_worst = by_policy["fair_share"]["worst_p95_s"]
-    if fifo_worst and fair_worst:
-        out["fair_share_worst_p95_ratio"] = fifo_worst / fair_worst
+    out["fair_share_worst_p95_ratio"] = (
+        by_policy["fifo"]["worst_p95_s"] / by_policy["fair_share"]["worst_p95_s"]
+    )
     return out
 
 
@@ -1392,6 +1381,25 @@ class HarnessConfig:
             sharded_shard_counts=(1, 4),
             sharded_selectors=16,
             secagg_clients=200,
+        )
+
+    @classmethod
+    def tiny(cls) -> "HarnessConfig":
+        """The smallest config that still runs every benchmark and every
+        identity gate: a report-shape smoke, not a measurement."""
+        return cls(
+            repeats=2,
+            fleet_days=0.01,
+            fleet_devices=25,
+            scale_days=0.01,
+            scale_counts=(300,),
+            scale_baseline_counts=(300,),
+            scale_profile_devices=None,
+            sharded_days=0.01,
+            sharded_cells=((200, 3),),
+            sharded_shard_counts=(1, 2),
+            sharded_selectors=4,
+            secagg_clients=100,
         )
 
     def scale_quick(self) -> "HarnessConfig":

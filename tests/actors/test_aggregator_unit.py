@@ -179,32 +179,22 @@ def accept_all(agg, ids):
 
 
 def test_fold_buffered_and_functional_byte_identical():
-    from repro.nn.parameters import functional_math
-
+    """The in-place fold equals the allocating left-to-right ``+`` chain
+    over the same reports, bit for bit."""
     rng = np.random.default_rng(3)
     vectors = {i: rng.normal(size=32) for i in range(6)}
-    sums = {}
-    for label, buffered in (("buffered", True), ("functional", False)):
-        loop, system, master, agg, agg_ref = make_harness()
-        with functional_math() if not buffered else _noop():
-            for device_id, vec in vectors.items():
-                system.tell(agg_ref, report(device_id, vec, weight=device_id + 1.0))
-            loop.run()
-            accept_all(agg, vectors)
-            partial = agg.flush(accepted_ids=set(vectors))
-        sums[label] = (np.asarray(partial.delta_sum), partial.weight_sum,
-                       partial.device_count)
-    np.testing.assert_array_equal(sums["buffered"][0], sums["functional"][0])
-    assert sums["buffered"][1] == sums["functional"][1]
-    assert sums["buffered"][2] == sums["functional"][2]
-
-
-class _noop:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    loop, system, master, agg, agg_ref = make_harness()
+    for device_id, vec in vectors.items():
+        system.tell(agg_ref, report(device_id, vec, weight=device_id + 1.0))
+    loop.run()
+    accept_all(agg, vectors)
+    partial = agg.flush(accepted_ids=set(vectors))
+    chain = vectors[0].copy()
+    for device_id in range(1, 6):
+        chain = chain + vectors[device_id]
+    np.testing.assert_array_equal(np.asarray(partial.delta_sum), chain)
+    assert partial.weight_sum == sum(range(1, 7))
+    assert partial.device_count == len(vectors)
 
 
 def test_copy_pending_stages_report_vectors():

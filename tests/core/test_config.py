@@ -67,17 +67,11 @@ def test_secagg_threshold():
         {"threshold_fraction": 1.1},
         {"modulus_bits": 4},
         {"modulus_bits": 64},
-        {"plane": "turbo"},
     ],
 )
 def test_secagg_validation(kwargs):
     with pytest.raises(ValueError):
         SecAggConfig(**kwargs)
-
-
-def test_secagg_accepts_every_plane():
-    for plane in (None, "scalar", "vectorized", "vectorized_pergroup"):
-        assert SecAggConfig(plane=plane).plane == plane
 
 
 def test_task_config_requires_names():

@@ -14,9 +14,6 @@ from repro.nn.parameters import (
     ParameterAccumulator,
     ParameterLayout,
     Parameters,
-    buffered_math_enabled,
-    functional_math,
-    set_buffered_math,
     weighted_mean,
 )
 
@@ -257,21 +254,6 @@ def test_sgd_reset_clears_flat_velocity():
     opt.step_(w2, g)
     fresh.step_(w := layout.unflatten(params.to_vector()), g)
     np.testing.assert_array_equal(w2.to_vector(), w.to_vector())
-
-
-# -- mode switch -------------------------------------------------------------
-
-def test_buffered_math_switch_restores():
-    assert buffered_math_enabled()
-    with functional_math():
-        assert not buffered_math_enabled()
-        with functional_math():
-            assert not buffered_math_enabled()
-        assert not buffered_math_enabled()
-    assert buffered_math_enabled()
-    previous = set_buffered_math(False)
-    assert previous is True
-    assert set_buffered_math(True) is False
 
 
 def test_sgd_refuses_mixed_momentum_conventions():

@@ -11,8 +11,9 @@ from repro.secagg.grouped import (
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.protocol import DropoutSchedule, SecAggError
 
-#: Every grouped execution plane; all three must be byte-equivalent.
-ALL_PLANES = ("scalar", "vectorized_pergroup", "vectorized")
+#: Every grouped execution plane, the scalar reference first; all must be
+#: byte-equivalent.
+ALL_PLANES = ("scalar", "vectorized")
 
 
 def test_partition_all_groups_at_least_k():
@@ -93,7 +94,7 @@ def _fleet_drops(n=60):
     )
 
 
-def test_three_planes_identical_sums_metrics_and_rng():
+def test_both_planes_identical_sums_metrics_and_rng():
     """The cross-group plane batches DH/PRG/recovery over all groups at
     once; the contract is byte-identity with the sequential planes, rng
     trajectory included."""
@@ -117,7 +118,7 @@ def test_three_planes_identical_sums_metrics_and_rng():
         assert probe == base_probe, plane
 
 
-def test_three_planes_identical_transcripts():
+def test_both_planes_identical_transcripts():
     inputs = _fleet(n=30)
     q = VectorQuantizer(modulus_bits=32, clip_range=1.5, max_summands=64)
     captured = {}
@@ -157,7 +158,6 @@ def test_mid_sequence_group_failure_parity():
                 quantizer=q, rng=plane_rng, dropouts=drops, plane=plane,
             )
         observed[plane] = (str(exc.value), plane_rng.bytes(8))
-    assert observed["scalar"] == observed["vectorized_pergroup"]
     assert observed["scalar"] == observed["vectorized"]
     assert "committed, threshold is" in observed["scalar"][0]
 
@@ -179,11 +179,10 @@ def test_phase_breakdown_populated_only_with_timer():
             assert m.key_agreement_seconds == 0.0
             assert m.masking_seconds == 0.0
             assert m.recovery_seconds == 0.0
-    for plane in ("vectorized_pergroup", "vectorized"):
-        ticks = iter(float(i) for i in range(1000))
-        _, metrics = run(plane, timer=lambda: next(ticks))
-        phase_total = sum(
-            m.key_agreement_seconds + m.masking_seconds + m.recovery_seconds
-            for m in metrics
-        )
-        assert phase_total > 0.0, plane
+    ticks = iter(float(i) for i in range(1000))
+    _, metrics = run("vectorized", timer=lambda: next(ticks))
+    phase_total = sum(
+        m.key_agreement_seconds + m.masking_seconds + m.recovery_seconds
+        for m in metrics
+    )
+    assert phase_total > 0.0

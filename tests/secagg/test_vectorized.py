@@ -17,8 +17,6 @@ from repro.secagg.protocol import (
     SecAggError,
     run_secure_aggregation,
     run_secure_aggregation_transcript,
-    secagg_plane,
-    set_secagg_plane,
 )
 
 
@@ -159,25 +157,21 @@ def test_grouped_secure_sum_identical_across_planes():
 
 
 def test_plane_lever_default_and_override():
-    assert secagg_plane() == "vectorized"
-    previous = set_secagg_plane("scalar")
-    try:
-        assert previous == "vectorized"
-        assert secagg_plane() == "scalar"
-        # module default drives the run when plane=None
-        inputs = make_inputs(n=8, dim=9)
+    """The per-call ``plane=`` argument is the only plane selector: the
+    vectorized plane by default, the scalar reference on request."""
+    inputs = make_inputs(n=8, dim=9)
+    outs = {}
+    for plane in (None, "vectorized", "scalar"):
         rng = np.random.default_rng(3)
-        total_default, _ = run_secure_aggregation(inputs, 6, quantizer(), rng)
-        rng = np.random.default_rng(3)
-        total_scalar, _ = run_secure_aggregation(
-            inputs, 6, quantizer(), rng, plane="scalar"
+        kwargs = {} if plane is None else {"plane": plane}
+        total, metrics = run_secure_aggregation(
+            inputs, 6, quantizer(), rng, **kwargs
         )
-        assert np.array_equal(total_default, total_scalar)
-    finally:
-        set_secagg_plane("vectorized")
-    with pytest.raises(ValueError, match="secagg_plane must be one of"):
-        set_secagg_plane("turbo")
-    with pytest.raises(ValueError, match="secagg_plane must be one of"):
+        outs[plane] = (total, metrics, rng.bytes(8))
+    assert np.array_equal(outs[None][0], outs["vectorized"][0])
+    assert outs[None][1:] == outs["vectorized"][1:]
+    assert np.array_equal(outs[None][0], outs["scalar"][0])
+    with pytest.raises(ValueError, match="secagg plane must be one of"):
         run_secure_aggregation(
             make_inputs(n=8, dim=9), 6, quantizer(),
             np.random.default_rng(3), plane="turbo",
@@ -197,28 +191,6 @@ def test_server_seconds_zero_without_timer_and_positive_with():
         plane="vectorized", timer=lambda: next(ticks),
     )
     assert metrics.server_seconds == 1.0  # two injected ticks, one apart
-
-
-def test_vectorized_pergroup_accepted_and_identical_on_single_instance():
-    """For a single instance the two vectorized planes coincide — the
-    pergroup spelling only changes scheduling under grouped_secure_sum."""
-    inputs = make_inputs(n=8, dim=9)
-    previous = set_secagg_plane("vectorized_pergroup")
-    try:
-        assert previous == "vectorized"
-        assert secagg_plane() == "vectorized_pergroup"
-    finally:
-        set_secagg_plane("vectorized")
-    outs = {}
-    for plane in ("vectorized", "vectorized_pergroup"):
-        rng = np.random.default_rng(3)
-        total, metrics = run_secure_aggregation(
-            inputs, 6, quantizer(), rng, plane=plane
-        )
-        outs[plane] = (total, metrics, rng.bytes(8))
-    assert np.array_equal(outs["vectorized"][0], outs["vectorized_pergroup"][0])
-    assert outs["vectorized"][1] == outs["vectorized_pergroup"][1]
-    assert outs["vectorized"][2] == outs["vectorized_pergroup"][2]
 
 
 def test_phase_seconds_on_single_instance():

@@ -1,33 +1,25 @@
 """Seed equivalence of the buffered model plane at fleet scale.
 
 The same seed must produce the identical ``RunReport`` — and identical
-committed model bytes — whether the model plane runs buffered (default)
-or functional (the pre-buffering implementation kept as the perf-harness
-baseline).  This is the system-level guarantee that the in-place rewrite
-changed allocation behaviour and nothing else.
+committed model bytes — from the production fleet and from the same
+fleet on :class:`~repro.tools.perf.FunctionalTrainer` devices (inline
+training on the allocating pre-buffering math, kept as the perf-harness
+reference).  This is the system-level guarantee that the in-place
+rewrite changed allocation behaviour and nothing else.
 """
 
 import numpy as np
-import pytest
 
 from repro import FLFleet
 from repro.core.config import ClientTrainingConfig, RoundConfig, TaskConfig
 from repro.device.example_store import ExampleStore
 from repro.device.runtime import RealTrainer
 from repro.nn.models import MLPClassifier
-from repro.nn.parameters import buffered_math_enabled, set_buffered_math
 from repro.sim.population import PopulationConfig
+from repro.tools.perf import FunctionalTrainer
 
 
-@pytest.fixture(autouse=True)
-def restore_buffered_mode():
-    previous = buffered_math_enabled()
-    yield
-    set_buffered_math(previous)
-
-
-def build_and_run(buffered: bool, days: float = 0.2):
-    set_buffered_math(buffered)
+def build_and_run(trainer=RealTrainer, days: float = 0.2):
     model = MLPClassifier(input_dim=8, hidden_dims=(16,), n_classes=4)
     params = model.init(np.random.default_rng(0))
     data_rng = np.random.default_rng(99)
@@ -38,7 +30,7 @@ def build_and_run(buffered: bool, days: float = 0.2):
         x = data_rng.normal(size=(40, 8))
         y = (x @ w_true).argmax(axis=1)
         store.add_batch(x, y, timestamp_s=0.0)
-        return RealTrainer(model=model, store=store)
+        return trainer(model=model, store=store)
 
     task = TaskConfig(
         task_id="t",
@@ -68,8 +60,8 @@ def build_and_run(buffered: bool, days: float = 0.2):
 
 
 def test_functional_and_buffered_fleets_are_byte_identical():
-    report_b, health_b, ckpt_b = build_and_run(buffered=True)
-    report_f, health_f, ckpt_f = build_and_run(buffered=False)
+    report_b, health_b, ckpt_b = build_and_run()
+    report_f, health_f, ckpt_f = build_and_run(FunctionalTrainer)
     assert report_b == report_f
     assert health_b == health_f
     assert ckpt_b is not None, "equivalence run must commit at least one round"
@@ -77,8 +69,8 @@ def test_functional_and_buffered_fleets_are_byte_identical():
 
 
 def test_same_seed_same_report_within_buffered_mode():
-    report_1, _, ckpt_1 = build_and_run(buffered=True, days=0.15)
-    report_2, _, ckpt_2 = build_and_run(buffered=True, days=0.15)
+    report_1, _, ckpt_1 = build_and_run(days=0.15)
+    report_2, _, ckpt_2 = build_and_run(days=0.15)
     assert report_1 == report_2
     if ckpt_1 is None:
         assert ckpt_2 is None

@@ -32,6 +32,7 @@ from repro.nn.models import LogisticRegression, MLPClassifier
 from repro.sim.diurnal import DiurnalModel
 from repro.sim.population import PopulationConfig
 from repro.system import SnapshotError, read_manifest
+from repro.tools.perf import InlineTrainer
 
 HOUR = 3600.0
 
@@ -436,6 +437,9 @@ class RealTrainerFactory:
     """Module-level (hence picklable) factory: per-device data pinned by
     device id, full minibatches (row-exact cohort kernels)."""
 
+    def __init__(self, trainer=RealTrainer):
+        self.trainer = trainer
+
     def __call__(self, profile):
         data_rng = np.random.default_rng(7_000 + profile.device_id)
         store = ExampleStore(ttl_s=None)
@@ -444,10 +448,10 @@ class RealTrainerFactory:
             data_rng.integers(0, 3, size=48),
             timestamp_s=0.0,
         )
-        return RealTrainer(model=REAL_MODEL, store=store)
+        return self.trainer(model=REAL_MODEL, store=store)
 
 
-def real_spec():
+def real_spec(trainer=RealTrainer):
     return PopulationSpec(
         name="ranker",
         tasks=[
@@ -461,16 +465,15 @@ def real_spec():
             )
         ],
         initial_params=REAL_INIT,
-        trainer_factory=RealTrainerFactory(),
+        trainer_factory=RealTrainerFactory(trainer),
         membership_fraction=0.8,
     )
 
 
-def real_scripted_run(training_plane):
+def real_scripted_run(trainer):
     fleet = build_fleet(
         seed=11,
         devices=60,
-        training_plane=training_plane,
         diurnal=DiurnalModel(
             amplitude=0.0,
             base_eligible_fraction=0.7,
@@ -478,7 +481,7 @@ def real_scripted_run(training_plane):
         ),
     )
     fleet.run_for(HOUR)
-    fleet.attach_population(real_spec())
+    fleet.attach_population(real_spec(trainer))
     fleet.run_for(3 * HOUR)
     drain = fleet.drain_population("ranker", deadline_s=HOUR)
     fleet.run_for(HOUR)
@@ -486,8 +489,8 @@ def real_scripted_run(training_plane):
 
 
 def test_lifecycle_is_byte_identical_across_training_planes():
-    cohort, drain_cohort = real_scripted_run("cohort")
-    per_device, drain_per_device = real_scripted_run("per_device")
+    cohort, drain_cohort = real_scripted_run(RealTrainer)
+    per_device, drain_per_device = real_scripted_run(InlineTrainer)
     assert drain_cohort.rounds_committed > 0
     assert drain_cohort == drain_per_device
     assert cohort.report() == per_device.report()

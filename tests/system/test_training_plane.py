@@ -1,13 +1,14 @@
-"""Fleet-level A/B of the training planes.
+"""The cohort training plane against its per-device oracle.
 
-``training_plane="cohort"`` (the default) must be deterministic and —
-for models whose cohort kernels are row-exact — byte-identical to the
-``"per_device"`` baseline: same RunReport, same committed global model,
-same health telemetry.
+Every trainer that can defer joins its population's cohort plane.  That
+fleet must be deterministic and — for models whose cohort kernels are
+row-exact — byte-identical to the same fleet on
+:class:`~repro.tools.perf.InlineTrainer` devices, which train every
+session inline: same RunReport, same committed global model, same
+health telemetry.
 """
 
 import numpy as np
-import pytest
 
 from repro import FLFleet
 from repro.core.config import ClientTrainingConfig, RoundConfig, TaskConfig
@@ -17,13 +18,13 @@ from repro.device.scheduler import JobSchedule
 from repro.nn.models import MLPClassifier
 from repro.sim.diurnal import DiurnalModel
 from repro.sim.population import PopulationConfig
-from repro.system.builder import FleetValidationError
+from repro.tools.perf import InlineTrainer
 
 MODEL = MLPClassifier(input_dim=16, hidden_dims=(12,), n_classes=4)
 INIT = MODEL.init(np.random.default_rng(0))
 
 
-def build_fleet(plane=None, seed=11, devices=50):
+def build_fleet(trainer=RealTrainer, seed=11, devices=50):
     data_rng = np.random.default_rng(4242)
 
     def trainer_factory(profile):
@@ -33,7 +34,7 @@ def build_fleet(plane=None, seed=11, devices=50):
             data_rng.integers(0, 4, size=64),
             timestamp_s=0.0,
         )
-        return RealTrainer(model=MODEL, store=store)
+        return trainer(model=MODEL, store=store)
 
     task = TaskConfig(
         task_id="t",
@@ -43,7 +44,7 @@ def build_fleet(plane=None, seed=11, devices=50):
             epochs=2, batch_size=8, learning_rate=0.1
         ),
     )
-    builder = (
+    return (
         FLFleet.builder()
         .seed(seed)
         .devices(PopulationConfig(num_devices=devices))
@@ -52,29 +53,18 @@ def build_fleet(plane=None, seed=11, devices=50):
                               mean_eligible_minutes=240.0))
         .population("pop", tasks=[task], model=INIT,
                     trainer_factory=trainer_factory)
+        .build()
     )
-    if plane is not None:
-        builder.training_plane(plane)
-    return builder.build()
 
 
-def run(plane=None, seed=11, days=0.12):
-    fleet = build_fleet(plane, seed)
+def run(trainer=RealTrainer, seed=11, days=0.12):
+    fleet = build_fleet(trainer, seed)
     fleet.run_days(days)
     return fleet
 
 
-def test_builder_rejects_unknown_plane():
-    with pytest.raises(FleetValidationError, match="training_plane"):
-        build_fleet("speculative")
-
-
 def test_cohort_is_the_default_and_planes_are_wired():
-    fleet = build_fleet()
-    assert fleet.config.training_plane == "cohort"
-    assert set(fleet.cohort_planes) == {"pop"}
-    per_device = build_fleet("per_device")
-    assert per_device.cohort_planes == {}
+    assert set(build_fleet().cohort_planes) == {"pop"}
 
 
 def test_cohort_plane_actually_executes_cohorts():
@@ -87,8 +77,9 @@ def test_cohort_plane_actually_executes_cohorts():
 
 
 def test_cohort_matches_per_device_byte_identically():
-    cohort = run("cohort")
-    per_device = run("per_device")
+    cohort = run()
+    per_device = run(InlineTrainer)
+    assert per_device.cohort_planes["pop"].executions == 0
     assert cohort.report() == per_device.report()
     assert cohort.health_report().to_dict() == per_device.health_report().to_dict()
     assert np.array_equal(
@@ -98,7 +89,7 @@ def test_cohort_matches_per_device_byte_identically():
 
 
 def test_cohort_plane_is_deterministic():
-    a, b = run("cohort"), run("cohort")
+    a, b = run(), run()
     assert a.report() == b.report()
     assert np.array_equal(
         a.global_model("pop").to_vector(), b.global_model("pop").to_vector()

@@ -117,6 +117,30 @@ class TestWallClock:
         """, path="src/repro/tools/perf.py") == []
 
 
+# -- no-global-rebind ---------------------------------------------------------
+
+class TestGlobalRebind:
+    def test_fires_on_global_statement(self):
+        findings = run("""
+            _MODE = "fast"
+
+            def set_mode(mode):
+                global _MODE
+                previous, _MODE = _MODE, mode
+                return previous
+        """)
+        assert rule_names(findings) == ["no-global-rebind"]
+        assert "global _MODE" in findings[0].message
+
+    def test_quiet_on_explicit_arguments(self):
+        assert run("""
+            _DEFAULT_MODE = "fast"
+
+            def run(mode=_DEFAULT_MODE):
+                return mode
+        """) == []
+
+
 # -- no-unordered-iteration ---------------------------------------------------
 
 SIM_PATH = "src/repro/sim/example.py"
