@@ -81,6 +81,16 @@ def main(argv: list[str] | None = None) -> int:
             + f"; dominant: {secagg['dominant_phase']}"
         )
 
+    dh = report["results"].get("dh_fixed_base")
+    if dh is not None:
+        print(
+            "  dh_fixed_base per batch (pow loop / limb kernel): "
+            + ", ".join(
+                f"{batch}={entry['speedup']:.2f}x"
+                for batch, entry in dh["by_batch"].items()
+            )
+        )
+
     scale = report["results"].get("fleet_scale")
     if scale is not None:
         print("  fleet_scale scaling curve:")

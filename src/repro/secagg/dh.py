@@ -10,13 +10,13 @@ Exponents are 120 bits so they fit in the Shamir field — adequate for a
 systems reproduction, NOT for production cryptography.
 
 Batch variants (``generate_keypairs_batch``, ``agree_batch``,
-``agree_pairs_batch``) ride the vectorized Montgomery substrate in
-:mod:`repro.secagg.bigmod`.  They draw rng bytes in exactly the scalar
-order and hash agreements with the same truncated SHA-256, so every
-derived key and seed is byte-identical to the scalar API — the planes'
-equivalence contract depends on it.  ``agree_pairs_batch`` additionally
-exploits that the *simulator* knows both secrets of a pair:
-``agree(a, g^b) == SHA-256(g^(a·b))``, so pairwise seeds become
+``agree_pairs_batch``) ride the vectorized pseudo-Mersenne limb
+substrate in :mod:`repro.secagg.bigmod`.  They draw rng bytes in exactly
+the scalar order and hash agreements with the same truncated SHA-256, so
+every derived key and seed is byte-identical to the scalar API — the
+planes' equivalence contract depends on it.  ``agree_pairs_batch``
+additionally exploits that the *simulator* knows both secrets of a
+pair: ``agree(a, g^b) == SHA-256(g^(a·b))``, so pairwise seeds become
 fixed-base exponentiations with no squaring ladder at all.
 """
 

@@ -5,8 +5,8 @@ per device — K PRG expansions, K share loops, and per-device ``ring_add``
 chains.  This module replays the *same* protocol as stacked operations:
 
 * pairwise PRG seeds ride the batched DH substrate
-  (:func:`~repro.secagg.dh.agree_pairs_batch` on the Montgomery limb
-  kernels of :mod:`repro.secagg.bigmod`) — the simulator holds both
+  (:func:`~repro.secagg.dh.agree_pairs_batch` on the pseudo-Mersenne
+  limb kernel of :mod:`repro.secagg.bigmod`) — the simulator holds both
   secrets of every pair, so each seed is one fixed-base exponentiation
   of ``g^(a·b)``, no per-pair squaring ladder;
 * mask expansion for all devices is one ``(K, dim)``

@@ -501,15 +501,18 @@ class FLFleet:
         total, committed, drop, completed, run_time = summarize_rounds(
             self.round_results
         )
+        health = self.health_report()
+        upload_retries = upload_retries_exhausted = 0
+        for device in self.devices:
+            upload_retries += device.health.upload_retries
+            upload_retries_exhausted += device.health.upload_retries_exhausted
         populations = []
         for runtime in self.lifecycle.runtimes():
             p_total, p_committed, p_drop, p_completed, p_run_time = (
                 summarize_rounds(runtime.results)
             )
-            device_sessions = sum(
-                device.health.sessions_by_population.get(runtime.name, 0)
-                for device in self.devices
-            )
+            # Every runtime's name is a key of the health breakdown.
+            device_sessions = health.sessions_by_population[runtime.name]
             populations.append(
                 PopulationReport(
                     name=runtime.name,
@@ -542,16 +545,11 @@ class FLFleet:
             download_bytes=meter.downloaded_bytes,
             upload_bytes=meter.uploaded_bytes,
             populations=tuple(populations),
-            health=self.health_report(),
+            health=health,
             recovery=self.recovery.build_report(
                 rounds_total=total,
                 rounds_committed=committed,
-                upload_retries=sum(
-                    device.health.upload_retries for device in self.devices
-                ),
-                upload_retries_exhausted=sum(
-                    device.health.upload_retries_exhausted
-                    for device in self.devices
-                ),
+                upload_retries=upload_retries,
+                upload_retries_exhausted=upload_retries_exhausted,
             ),
         )

@@ -51,13 +51,18 @@ What is measured (see ROADMAP.md "Performance" for how to read it):
 * ``secagg_round`` — one grouped Secure Aggregation round (1k clients in
   ~50-device groups, 10% dropout at each protocol stage), scalar
   per-device reference vs the cross-group vectorized plane (one stacked
-  DH pass over all groups on the Montgomery substrate, one (ΣC, dim)
+  DH pass over all groups on the limb substrate, one (ΣC, dim)
   PRG/commit pass, one shared reconstruction sweep); a
   timer-instrumented run reports the key-agreement / masking / recovery
   ``phase_seconds`` split.  Sums and metrics are asserted byte-identical
   across the two planes before timing; the ratio is group-local, so the
   ``--quick`` run at 200 clients checks against the committed 1k-client
   reference ratio.
+* ``dh_fixed_base`` — ``g^x`` for a batch of exponents: a CPython
+  ``pow`` loop vs :meth:`~repro.secagg.bigmod.FixedBaseTable.pow_batch_bytes`
+  at the fleet's per-group SecAgg batch sizes (20 keypairs, 190 pair
+  agreements).  Outputs are asserted equal before timing; the ratio is
+  per batch size, so it guards the limb kernel's small-batch overhead.
 
 Every functional/buffered pair is asserted byte-identical before it is
 timed; the harness refuses to report a speedup for paths that diverge.
@@ -103,6 +108,8 @@ GUARDED = (
     #: cells it shares with the committed reference.
     "fleet_scale_sharded",
     "secagg_round",
+    #: Compared per batch size (``speedup_by_batch``).
+    "dh_fixed_base",
 )
 
 
@@ -717,6 +724,79 @@ def bench_secagg_round(clients: int, repeats: int) -> dict:
         "speedup": tf / tb,
     }
 
+
+#: ``dh_fixed_base`` batch sizes: one ~20-device SecAgg group's fixed-base
+#: work, 20 keypairs and 190 pair agreements.
+DH_KEYPAIRS = 20
+DH_AGREEMENTS = 190
+
+
+def bench_dh_fixed_base(repeats: int) -> dict:
+    """Fixed-base exponentiation ``g^x``: CPython ``pow`` vs the limb kernel.
+
+    Two batches, compared separately: ``keypairs`` exponentiates
+    :data:`DH_KEYPAIRS` 120-bit secrets, ``agreements`` the products of
+    :data:`DH_AGREEMENTS` pairs of secrets (~240 bits), as
+    :func:`~repro.secagg.dh.agree_pairs_batch` does.  Each side returns
+    the canonical 32-byte encodings key derivation hashes, asserted equal
+    before timing; the generator table is built before timing, as the
+    process-wide one is.
+    """
+    import random
+
+    from repro.secagg.bigmod import MODULUS, FixedBaseTable
+    from repro.secagg.dh import DH_GENERATOR
+    from repro.secagg.field import SECRET_BITS
+
+    rnd = random.Random(2019)
+    table = FixedBaseTable(DH_GENERATOR)
+    secrets = [
+        rnd.getrandbits(SECRET_BITS)
+        for _ in range(DH_KEYPAIRS + 2 * DH_AGREEMENTS)
+    ]
+    pairs = secrets[DH_KEYPAIRS:]
+    batches = {
+        f"keypairs@{DH_KEYPAIRS}": secrets[:DH_KEYPAIRS],
+        f"agreements@{DH_AGREEMENTS}": [
+            a * b for a, b in zip(pairs[:DH_AGREEMENTS], pairs[DH_AGREEMENTS:])
+        ],
+    }
+    by_batch = {}
+    total_pow = total_kernel = 0.0
+    for key, exponents in batches.items():
+
+        def scalar(exponents=exponents):
+            return [
+                pow(DH_GENERATOR, e, MODULUS).to_bytes(32, "little")
+                for e in exponents
+            ]
+
+        def kernel(exponents=exponents):
+            return table.pow_batch_bytes(exponents)
+
+        if scalar() != kernel():
+            raise AssertionError(f"dh_fixed_base diverged on {key}")
+        tf, tb = _time_pair(scalar, kernel, repeats, inner=5)
+        total_pow += tf
+        total_kernel += tb
+        by_batch[key] = {
+            "pow_seconds": tf,
+            "kernel_seconds": tb,
+            "speedup": tf / tb,
+        }
+    return {
+        "workload": (
+            "g^x mod 2^255-19 as canonical 32-byte encodings, CPython pow "
+            "loop vs FixedBaseTable.pow_batch_bytes, per batch "
+            f"{', '.join(by_batch)} (outputs asserted equal before timing)"
+        ),
+        "unit": "batches_per_sec",
+        "by_batch": by_batch,
+        "speedup_by_batch": {
+            key: entry["speedup"] for key, entry in by_batch.items()
+        },
+        "speedup": total_pow / total_kernel,
+    }
 
 # ---------------------------------------------------------------------------
 # reference trainers
@@ -1477,6 +1557,7 @@ def run_harness(
         "secagg_round": bench_secagg_round(
             config.secagg_clients, max(3, config.repeats // 6)
         ),
+        "dh_fixed_base": bench_dh_fixed_base(max(2, config.repeats // 2)),
     }
     if include_fleet:
         results["fleet_run_days"] = bench_fleet_run_days(
@@ -1607,12 +1688,15 @@ def check_against_reference(
         ref_entry = reference["results"].get(name, {})
         new_entry = report["results"].get(name, {})
         # Keyed speedups (per device count for fleet_scale, per
-        # devices-x-tenants@shards cell for fleet_scale_sharded) are
+        # devices-x-tenants@shards cell for fleet_scale_sharded, per
+        # kind@size batch for dh_fixed_base) are
         # compared per shared key: a quick CI run checks exactly the
         # cells it shares with the committed reference, never against a
         # headline measured on a workload it did not run.
         keyed = None
-        for field_name in ("speedup_by_devices", "speedup_by_shards"):
+        for field_name in (
+            "speedup_by_devices", "speedup_by_shards", "speedup_by_batch"
+        ):
             if ref_entry.get(field_name) and new_entry.get(field_name):
                 keyed = field_name
                 break

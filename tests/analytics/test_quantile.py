@@ -78,3 +78,91 @@ def test_metric_summary_to_dict(rng):
     assert d["count"] == 500
     assert 0 <= d["p25"] <= d["p50"] <= d["p75"] <= d["p95"] <= 1
     assert MetricSummary.empty().to_dict() == {"count": 0}
+
+
+class _NumpyP2Oracle:
+    """The array-backed P² update this module used to ship: five-element
+    numpy marker arrays and ``np.searchsorted``.  Kept as an oracle so the
+    list-backed sketch is pinned to it bit for bit."""
+
+    def __init__(self, quantile: float):
+        self.quantile = quantile
+        self._initial: list[float] = []
+        self._q = np.zeros(5)
+        self._n = np.zeros(5)
+        self._np = np.zeros(5)
+        self._dn = np.zeros(5)
+        self._count = 0
+
+    def update(self, value: float) -> None:
+        value = float(value)
+        self._count += 1
+        if self._count <= 5:
+            self._initial.append(value)
+            if self._count == 5:
+                p = self.quantile
+                self._q = np.array(sorted(self._initial))
+                self._n = np.arange(1.0, 6.0)
+                self._np = np.array([1, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5])
+                self._dn = np.array([0, p / 2, p, (1 + p) / 2, 1])
+            return
+        q, n = self._q, self._n
+        if value < q[0]:
+            q[0] = value
+            k = 0
+        elif value >= q[4]:
+            q[4] = value
+            k = 3
+        else:
+            k = int(np.searchsorted(q, value, side="right")) - 1
+            k = min(max(k, 0), 3)
+        n[k + 1:] += 1
+        self._np += self._dn
+        for i in (1, 2, 3):
+            d = self._np[i] - n[i]
+            if (d >= 1 and n[i + 1] - n[i] > 1) or (d <= -1 and n[i - 1] - n[i] < -1):
+                sign = 1.0 if d >= 1 else -1.0
+                candidate = q[i] + sign / (n[i + 1] - n[i - 1]) * (
+                    (n[i] - n[i - 1] + sign) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
+                    + (n[i + 1] - n[i] - sign) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
+                )
+                if q[i - 1] < candidate < q[i + 1]:
+                    q[i] = candidate
+                else:
+                    j = i + int(sign)
+                    q[i] = q[i] + sign * (q[j] - q[i]) / (n[j] - n[i])
+                n[i] += sign
+
+    def value(self) -> float:
+        if self._count <= 5:
+            data = sorted(self._initial)
+            return data[min(int(self.quantile * len(data)), len(data) - 1)]
+        return float(self._q[2])
+
+
+def _oracle_streams() -> dict[str, list[float]]:
+    gen = np.random.default_rng(2019)
+    return {
+        "constant": [3.25] * 400,
+        "tied": list(gen.choice([0.0, 1.0, 1.0, 2.5], size=600)),
+        "integer": [float(v) for v in gen.integers(0, 12, size=800)],
+        "heavy_tailed": list(gen.pareto(1.1, size=1500) * 100.0),
+        "sorted": sorted(gen.normal(0.0, 5.0, size=700)),
+        "reverse_sorted": sorted(gen.uniform(-1.0, 1.0, size=500), reverse=True),
+    }
+
+
+@pytest.mark.parametrize("q", [0.25, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("stream", sorted(_oracle_streams()))
+def test_p2_matches_numpy_oracle_bit_for_bit(stream, q):
+    values = _oracle_streams()[stream]
+    sketch, oracle = P2Quantile(q), _NumpyP2Oracle(q)
+    for i, v in enumerate(values):
+        sketch.update(v)
+        oracle.update(v)
+        # value() and every marker agree exactly after every update.
+        assert sketch.value() == oracle.value(), (stream, i)
+        if i >= 4:
+            assert list(sketch._q) == oracle._q.tolist(), (stream, i)
+            assert list(sketch._n) == oracle._n.tolist(), (stream, i)
+            assert list(sketch._np) == oracle._np.tolist(), (stream, i)
